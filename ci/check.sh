@@ -48,6 +48,20 @@ go vet ./...
 # discarded or text-matched). Exits non-zero on any diagnostic.
 go run ./cmd/iolint ./...
 
+# One node constructor: every kvserve node is built by cluster.Node
+# (internal/cluster/node.go), so a server or a shipper is constructed
+# nowhere else. perfbench keeps its own copy of the wiring as the
+# benchmark's fixed reference, and the server package's tests build bare
+# servers (cluster imports server, so they cannot use the node).
+wiring=$(grep -rn --include='*.go' -E 'server\.New\(|NewShipper\(' . |
+	grep -v -e '^\./vendor/' -e '^\./perfbench/' -e '^\./internal/cluster/node\.go:' \
+		-e '^\./internal/server/[^/]*_test\.go:' -e 'func NewShipper(' || true)
+if [ -n "$wiring" ]; then
+	echo "server.New/NewShipper called outside internal/cluster/node.go; build the node with cluster.NewNode:" >&2
+	echo "$wiring" >&2
+	exit 1
+fi
+
 go build ./...
 go test ./...
 

@@ -35,11 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"iomodels/internal/betree"
-	"iomodels/internal/btree"
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
-	"iomodels/internal/lsm"
 	"iomodels/internal/mqssd"
 	"iomodels/internal/obs"
 	"iomodels/internal/pdamdev"
@@ -47,7 +44,6 @@ import (
 	"iomodels/internal/sim"
 	"iomodels/internal/ssd"
 	"iomodels/internal/storage"
-	"iomodels/internal/workload"
 )
 
 func main() {
@@ -64,7 +60,7 @@ func main() {
 	beta := flag.Float64("beta", 0.125, "mq device: cross-queue interference β")
 	writeQueue := flag.Bool("wq", true, "mq device: dedicate a write queue pair")
 	treeKind := flag.String("tree", "btree", "dictionary: btree, betree, or lsm")
-	node := flag.Int("node", 4<<10, "tree node bytes (btree/betree)")
+	node := flag.Int("node", 0, "tree node bytes (0: 4 KiB btree, 64 KiB betree; lsm ignores it)")
 	cache := flag.Int64("cache", 64<<20, "engine cache bytes")
 	items := flag.Int64("items", 0, "preload this many keys before serving")
 	durable := flag.Bool("durable", false, "enable the WAL: group commit and crash recovery")
@@ -74,7 +70,6 @@ func main() {
 	readq := flag.Int("readq", 0, "read admission bound (0: 4x batch)")
 	writeq := flag.Int("writeq", 0, "write queue bound (0: default 1024)")
 	writeBatch := flag.Int("writebatch", 0, "mutations per group commit (0: default 64)")
-	traceCap := flag.Int("trace", 0, "retain an IO trace of this many records (0: off)")
 	obsOn := flag.Bool("obs", false, "attach the span tracer: per-layer IO attribution and live model residuals on /stats and /metrics")
 	obsSample := flag.Int("obs-sample", 16, "trace 1 in N operations (with -obs)")
 	chromeOut := flag.String("chrome", "", "write a Chrome trace_event JSON of retained spans here at shutdown (implies -obs)")
@@ -124,76 +119,31 @@ func main() {
 		fatalf("unknown device %q (want pdam, ssd, or mq)", *device)
 	}
 
-	eng := engine.New(engine.Config{CacheBytes: *cache}, dev, sim.New())
+	var durability *engine.DurabilityConfig
 	if *durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{}); err != nil {
-			fatalf("durability: %v", err)
-		}
-		// Every durable node publishes its commit stream: a solo node can gain
-		// a replica later, and a promoted replica immediately serves pulls.
-		if err := eng.EnableShipping(*shipBuffer); err != nil {
-			fatalf("shipping: %v", err)
-		}
+		durability = &engine.DurabilityConfig{}
 	}
-
-	spec := workload.DefaultSpec()
-	var (
-		session func(*engine.Client) engine.Dictionary
-		writer  engine.Dictionary
-		settle  func()
-	)
-	switch *treeKind {
-	case "btree":
-		tree, err := btree.New(btree.Config{
-			NodeBytes: *node, MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
-		}, eng)
-		if err != nil {
-			fatalf("btree: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	case "betree":
-		tree, err := betree.New(betree.Config{
-			NodeBytes: *node, MaxFanout: betree.DefaultFanout,
-			MaxKeyBytes: spec.KeyBytes, MaxValueBytes: spec.ValueBytes,
-		}.Optimized(), eng)
-		if err != nil {
-			fatalf("betree: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	case "lsm":
-		tree, err := lsm.New(lsm.DefaultConfig(), eng)
-		if err != nil {
-			fatalf("lsm: %v", err)
-		}
-		session = func(c *engine.Client) engine.Dictionary { return tree.Session(c) }
-		writer, settle = tree, tree.Flush
-	default:
-		fatalf("unknown tree %q (want btree, betree, or lsm)", *treeKind)
+	n, err := cluster.NewNode(cluster.NodeConfig{
+		Store:      storage.NewStore(dev),
+		CacheBytes: *cache,
+		Durability: durability,
+		ShipCap:    *shipBuffer,
+		Tree:       *treeKind,
+		NodeBytes:  *node,
+		Items:      *items,
+		Shipper: cluster.ShipperConfig{
+			Primary: *replicaOf,
+			Logf: func(format string, args ...interface{}) {
+				fmt.Printf("kvserve: "+format+"\n", args...)
+			},
+		},
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if *durable {
-		d, err := eng.Durable(*treeKind, writer)
-		if err != nil {
-			fatalf("durable %s: %v", *treeKind, err)
-		}
-		writer = d
-	}
-
+	eng := n.Engine()
 	if *items > 0 {
-		workload.Load(writer, spec, *items)
-		settle()
-		if *durable {
-			if err := eng.Sync(); err != nil {
-				fatalf("preload sync: %v", err)
-			}
-		}
 		fmt.Printf("kvserve: preloaded %d items (%s of virtual IO)\n", *items, eng.Clock().Now())
-	}
-
-	var trace *storage.Trace
-	if *traceCap > 0 {
-		trace = storage.NewBoundedTrace(*traceCap)
 	}
 
 	var tracer *obs.Tracer
@@ -211,7 +161,7 @@ func main() {
 		// Calibrate at the workload's locality: the preloaded region when
 		// there is one (seek cost on the hdd model grows with distance), the
 		// whole device otherwise.
-		ccfg := obs.CalibrationConfig{BlockBytes: int64(*node), RegionBytes: eng.HighWater()}
+		ccfg := obs.CalibrationConfig{BlockBytes: int64(n.Config().NodeBytes), RegionBytes: eng.HighWater()}
 		if models, ok := obs.ModelsFor(dev, ccfg); ok {
 			tcfg.Models = &models
 			fmt.Printf("kvserve: calibrated %s: affine s=%.3gs t=%.3gs/B, pdam P=%d step=%.3gs\n",
@@ -223,12 +173,7 @@ func main() {
 		tracer = obs.NewTracer(tcfg)
 	}
 
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	// The shipper is built after the server (it feeds the server's replica
-	// apply path), so OnPromote closes over this late-bound pointer.
-	var shipper *cluster.Shipper
-	srv, err := server.New(server.Config{
+	if err := n.Serve(server.Config{
 		Addr:            *addr,
 		BatchIOs:        *batch,
 		ReadLanes:       *lanes,
@@ -236,36 +181,16 @@ func main() {
 		ReadQueue:       *readq,
 		WriteQueue:      *writeq,
 		WriteBatch:      *writeBatch,
-		Trace:           trace,
 		Tracer:          tracer,
 		ShardID:         *shard,
 		Shards:          *shards,
 		Role:            role,
 		SyncShip:        *syncShip,
 		SlowOpThreshold: *slowOps,
-		OnPromote: func() (uint64, error) {
-			if shipper == nil {
-				return 0, fmt.Errorf("no shipper to seal (node is not a replica)")
-			}
-			return shipper.Promote(eng)
-		},
-	}, server.Backend{Eng: eng, Clock: clock, NewSession: session, Writer: writer})
-	if err != nil {
-		fatalf("server: %v", err)
+	}); err != nil {
+		fatalf("%v", err)
 	}
-	bound, err := srv.ListenAndServe()
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	if isReplica {
-		shipper = cluster.NewShipper(srv, cluster.ShipperConfig{
-			Primary: *replicaOf,
-			Logf: func(format string, args ...interface{}) {
-				fmt.Printf("kvserve: "+format+"\n", args...)
-			},
-		})
-		shipper.Start()
-	}
+	srv := n.Server()
 	cfg := srv.Config()
 	fmt.Printf("kvserve: %s on %s, lanes=%d batch=%d grace=%v durable=%v\n",
 		*treeKind, eng.Device().Name(), cfg.ReadLanes, cfg.BatchIOs, cfg.BatchGrace, *durable)
@@ -273,7 +198,7 @@ func main() {
 		fmt.Printf("kvserve: shard %d/%d role=%s replica-of=%q sync-ship=%v\n",
 			*shard, *shards, role, *replicaOf, *syncShip)
 	}
-	fmt.Printf("kvserve: listening on %s\n", bound)
+	fmt.Printf("kvserve: listening on %s\n", n.Addr())
 
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)
@@ -302,10 +227,7 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	<-sigs
 	fmt.Println("kvserve: shutting down")
-	if shipper != nil {
-		shipper.Stop() // no shipped apply may race the server teardown
-	}
-	if err := srv.Close(); err != nil {
+	if err := n.Close(); err != nil {
 		fatalf("close: %v", err)
 	}
 	snap := srv.Snapshot()

@@ -33,10 +33,6 @@
 // ones, and reads them all back at the end — the run fails unless it can
 // report "0 lost acks".
 //
-// -bench-json FILE writes a machine-readable summary of the run: throughput,
-// overall and per-op-class latency percentiles, shed/miss counts, router
-// failover counters, and the -verify audit result.
-//
 // -trace-every N stamps every Nth operation with a fresh trace context
 // (single-node mode only): the server continues the trace with its own
 // spans, and -spans-out FILE dumps loadgen's client-side spans in the same
@@ -115,58 +111,6 @@ func (sl *spanLog) write(path string) error {
 	return f.Close()
 }
 
-// opLatency is one latency summary in the -bench-json document (µs).
-type opLatency struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P95Us  float64 `json:"p95_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-func latencyOf(h *stats.LatencyHist) opLatency {
-	s := h.Snapshot()
-	return opLatency{
-		Count:  s.Count,
-		MeanUs: s.Mean / 1e3,
-		P50Us:  float64(s.P50) / 1e3,
-		P95Us:  float64(s.P95) / 1e3,
-		P99Us:  float64(s.P99) / 1e3,
-		MaxUs:  float64(s.Max) / 1e3,
-	}
-}
-
-// benchSummary is the -bench-json document.
-type benchSummary struct {
-	Clients        int                  `json:"clients"`
-	OpsPerClient   int                  `json:"ops_per_client"`
-	ElapsedSeconds float64              `json:"elapsed_seconds"`
-	Throughput     float64              `json:"throughput_ops_per_sec"`
-	Latency        opLatency            `json:"latency"`
-	Classes        map[string]opLatency `json:"classes"`
-	BusyShed       int64                `json:"busy_shed"`
-	NotFound       int64                `json:"not_found"`
-	TracedOps      int64                `json:"traced_ops,omitempty"`
-	ScanLatency    *opLatency           `json:"scan_latency,omitempty"`
-	Router         *cluster.RouterStats `json:"router,omitempty"`
-	Verify         *verifySummary       `json:"verify,omitempty"`
-}
-
-func writeBenchJSON(path string, sum benchSummary) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sum); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Busy backoff: shed requests retry the same slot, but never in a hot spin —
 // a saturated server answering StatusBusy in microseconds would otherwise
 // burn both sides' CPU on refusals. Capped exponential with jitter.
@@ -207,7 +151,6 @@ func main() {
 	snapcheck := flag.Bool("snapcheck", false, "run the snapshot smoke probe and exit")
 	clusterFlag := flag.String("cluster", "", "shard topology, shards ';'-separated, endpoints '/'-separated, primary first (overrides -addr)")
 	verify := flag.Bool("verify", false, "acked-write audit: unique keys per client, read every acknowledged write back at the end")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable run summary (JSON) to this file")
 	traceEvery := flag.Int("trace-every", 0, "stamp every Nth op with a trace context the server continues (single-node only; 0: off)")
 	spansOut := flag.String("spans-out", "", "write client-side spans of traced ops here (JSON, for iotrace -merge)")
 	flag.Parse()
@@ -264,21 +207,9 @@ func main() {
 	}
 
 	if *verify {
-		vs, err := runVerify(dial, *clients, *ops)
-		rs := routerStats()
-		if rs != nil {
+		err := runVerify(dial, *clients, *ops)
+		if rs := routerStats(); rs != nil {
 			fmt.Printf("router: failovers=%d probes=%d promotes=%d\n", rs.Failovers, rs.Probes, rs.Promotes)
-		}
-		if *benchJSON != "" {
-			sum := benchSummary{
-				Clients: *clients, OpsPerClient: *ops,
-				ElapsedSeconds: vs.ElapsedSeconds,
-				Router:         rs,
-				Verify:         &vs,
-			}
-			if jerr := writeBenchJSON(*benchJSON, sum); jerr != nil {
-				fatalf("bench-json: %v", jerr)
-			}
 		}
 		if err != nil {
 			fatalf("%v", err)
@@ -364,50 +295,25 @@ func main() {
 	fmt.Printf("latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
 		snap.Mean/1e3, float64(snap.P50)/1e3, float64(snap.P95)/1e3,
 		float64(snap.P99)/1e3, float64(snap.Max)/1e3)
-	classes := make(map[string]opLatency)
 	var parts []string
 	for k, h := range classHists {
-		if l := latencyOf(h); l.Count > 0 {
-			classes[workload.OpKind(k).String()] = l
-			parts = append(parts, fmt.Sprintf("%s=%d", workload.OpKind(k), l.Count))
+		if n := h.Snapshot().Count; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", workload.OpKind(k), n))
 		}
 	}
 	fmt.Printf("ops: %s; busy(shed)=%d not_found=%d\n", strings.Join(parts, " "), shed.Load(), misses.Load())
 	if *traceEvery > 0 {
 		fmt.Printf("traced: %d ops carried a trace context (every %d)\n", traced.Load(), *traceEvery)
 	}
-	var scanLat *opLatency
 	if *scanners > 0 {
 		ss := scanHist.Snapshot()
 		fmt.Printf("snapshot scans: %d scanners, %d scans (%d entries)\n", *scanners, scans, scanned)
 		fmt.Printf("scan latency µs: mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%.0f\n",
 			ss.Mean/1e3, float64(ss.P50)/1e3, float64(ss.P95)/1e3,
 			float64(ss.P99)/1e3, float64(ss.Max)/1e3)
-		l := latencyOf(scanHist)
-		scanLat = &l
 	}
-	rs := routerStats()
-	if rs != nil {
+	if rs := routerStats(); rs != nil {
 		fmt.Printf("router: failovers=%d probes=%d promotes=%d\n", rs.Failovers, rs.Probes, rs.Promotes)
-	}
-	if *benchJSON != "" {
-		sum := benchSummary{
-			Clients:        *clients,
-			OpsPerClient:   *ops,
-			ElapsedSeconds: elapsed.Seconds(),
-			Throughput:     float64(total) / elapsed.Seconds(),
-			Latency:        latencyOf(hist),
-			Classes:        classes,
-			BusyShed:       shed.Load(),
-			NotFound:       misses.Load(),
-			TracedOps:      traced.Load(),
-			ScanLatency:    scanLat,
-			Router:         rs,
-		}
-		if err := writeBenchJSON(*benchJSON, sum); err != nil {
-			fatalf("bench-json: %v", err)
-		}
-		fmt.Printf("loadgen: wrote bench summary to %s\n", *benchJSON)
 	}
 	if *spansOut != "" {
 		if err := spans.write(*spansOut); err != nil {
@@ -681,24 +587,13 @@ func parseMix(ycsb, mixFlag string, scanLen int) (workload.Mix, error) {
 	return mix, nil
 }
 
-// verifySummary is the acked-write audit's result, printed and exported via
-// -bench-json.
-type verifySummary struct {
-	Acked          int     `json:"acked"`
-	Rejected       int64   `json:"rejected"`
-	BusyShed       int64   `json:"busy_shed"`
-	LostAcks       int     `json:"lost_acks"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	OK             bool    `json:"ok"`
-}
-
 // runVerify is the acked-write audit used by the failover smoke test: every
 // client writes its own unique key sequence and records exactly the Puts the
 // server acknowledged. Write errors during the run are tolerated (a failover
 // window rejects a few ops) and counted, but never recorded as acked. At the
 // end, a fresh connection reads every acked key back; one miss is a lost
 // acknowledged write and fails the run.
-func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
+func runVerify(dial dialFn, clients, ops int) error {
 	type clientResult struct {
 		acked []int // op indices whose Put was acknowledged
 		err   error // connection-level failure (dial), not per-op
@@ -746,7 +641,7 @@ func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
 	wg.Wait()
 	for c := range results {
 		if results[c].err != nil {
-			return verifySummary{}, fmt.Errorf("verify client %d: %v", c, results[c].err)
+			return fmt.Errorf("verify client %d: %v", c, results[c].err)
 		}
 	}
 
@@ -754,7 +649,7 @@ func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
 	// matter which node now serves the shard.
 	conn, closeConn, err := dial()
 	if err != nil {
-		return verifySummary{}, fmt.Errorf("verify read-back dial: %v", err)
+		return fmt.Errorf("verify read-back dial: %v", err)
 	}
 	defer closeConn()
 	acked, lost := 0, 0
@@ -771,7 +666,7 @@ func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
 				}
 				busyDelay = 0
 				if err != nil {
-					return verifySummary{}, fmt.Errorf("verify read-back %s: %v", key(c, i), err)
+					return fmt.Errorf("verify read-back %s: %v", key(c, i), err)
 				}
 				if !ok || string(v) != string(value(c, i)) {
 					fmt.Printf("verify: LOST acked write %s (ok=%v, value=%q)\n", key(c, i), ok, v)
@@ -784,18 +679,10 @@ func runVerify(dial dialFn, clients, ops int) (verifySummary, error) {
 	elapsed := time.Since(start)
 	fmt.Printf("verify: %d clients x %d ops in %.2fs: %d acked, %d rejected, busy(shed)=%d, %d lost acks\n",
 		clients, ops, elapsed.Seconds(), acked, rejected.Load(), shed.Load(), lost)
-	sum := verifySummary{
-		Acked:          acked,
-		Rejected:       rejected.Load(),
-		BusyShed:       shed.Load(),
-		LostAcks:       lost,
-		ElapsedSeconds: elapsed.Seconds(),
-		OK:             lost == 0,
-	}
 	if lost > 0 {
-		return sum, fmt.Errorf("%d acknowledged writes lost", lost)
+		return fmt.Errorf("%d acknowledged writes lost", lost)
 	}
-	return sum, nil
+	return nil
 }
 
 // parseCluster parses the -cluster topology: shards separated by ';', each

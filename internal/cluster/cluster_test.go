@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"iomodels/internal/btree"
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
 	"iomodels/internal/kv"
@@ -35,69 +34,36 @@ func (d flatDev) Access(now sim.Time, _ storage.Op, _, _ int64) sim.Time {
 func (d flatDev) Capacity() int64 { return d.capacity }
 func (d flatDev) Name() string    { return "flat" }
 
-// node is one server process: engine, tree, server, and (for replicas) the
-// shipper pulling from its primary.
-type node struct {
-	eng     *engine.Engine
-	srv     *server.Server
-	addr    string
-	shipper *cluster.Shipper
-	closed  bool
-}
-
-func (n *node) close() {
-	if n.closed {
-		return
-	}
-	n.closed = true
-	if n.shipper != nil {
-		n.shipper.Stop()
-	}
-	n.srv.Close()
-}
-
 // clientOpts keeps test round trips snappy: a dead node is detected in
 // 500ms, not the 5s default.
 func clientOpts() server.Options {
 	return server.Options{RequestTimeout: 500 * time.Millisecond, ConnectTimeout: time.Second}
 }
 
-// newNode builds a durable, shipping-enabled B-tree server. A replica node
-// gets its shipper started against primaryAddr and its promote hook wired.
-func newNode(t *testing.T, shardID, shards int, role server.Role, syncShip bool, primaryAddr string) *node {
+// testDurability keeps the WAL small: the tests write hundreds of records.
+var testDurability = engine.DurabilityConfig{LogBytes: 8 << 20, GroupBytes: 1 << 20, JournalBytes: 4 << 20}
+
+// newNode serves a durable B-tree node. A replica node tails primaryAddr.
+func newNode(t *testing.T, shardID, shards int, role server.Role, syncShip bool, primaryAddr string) *cluster.Node {
 	t.Helper()
 	return newTracedNode(t, shardID, shards, role, syncShip, primaryAddr, nil)
 }
 
 // newTracedNode is newNode with a span tracer attached to the server (nil
 // for none) — the merged-trace test wants per-node tracers it can export.
-func newTracedNode(t *testing.T, shardID, shards int, role server.Role, syncShip bool, primaryAddr string, tracer *obs.Tracer) *node {
+func newTracedNode(t *testing.T, shardID, shards int, role server.Role, syncShip bool, primaryAddr string, tracer *obs.Tracer) *cluster.Node {
 	t.Helper()
-	eng := engine.FromStore(engine.Config{CacheBytes: 1 << 20},
-		storage.NewFaultStore(flatDev{256 << 20}), sim.New())
-	if err := eng.EnableDurability(engine.DurabilityConfig{
-		LogBytes:     8 << 20,
-		GroupBytes:   1 << 20,
-		JournalBytes: 4 << 20,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableShipping(0); err != nil {
-		t.Fatal(err)
-	}
-	bt, err := btree.New(btree.Config{NodeBytes: 4 << 10, MaxKeyBytes: 64, MaxValueBytes: 256}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := eng.Durable("bt", bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-
-	n := &node{eng: eng}
-	cfg := server.Config{
+	return serveNode(t, cluster.NodeConfig{
+		Store:      storage.NewFaultStore(flatDev{256 << 20}),
+		CacheBytes: 1 << 20,
+		Durability: &testDurability,
+		Shipper: cluster.ShipperConfig{
+			Primary:  primaryAddr,
+			Opts:     clientOpts(),
+			Interval: time.Millisecond,
+			Logf:     t.Logf,
+		},
+	}, server.Config{
 		Addr:            "127.0.0.1:0",
 		ShardID:         shardID,
 		Shards:          shards,
@@ -105,39 +71,20 @@ func newTracedNode(t *testing.T, shardID, shards int, role server.Role, syncShip
 		SyncShip:        syncShip,
 		SyncShipTimeout: 5 * time.Second,
 		Tracer:          tracer,
-		OnPromote: func() (uint64, error) {
-			if n.shipper == nil {
-				return 0, errors.New("replica has no shipper")
-			}
-			return n.shipper.Promote(n.eng)
-		},
-	}
-	srv, err := server.New(cfg, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return bt.Session(c)
-		},
-		Writer: d,
 	})
+}
+
+// serveNode builds and serves a node, closed when the test ends.
+func serveNode(t *testing.T, cfg cluster.NodeConfig, scfg server.Config) *cluster.Node {
+	t.Helper()
+	n, err := cluster.NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
+	if err := n.Serve(scfg); err != nil {
 		t.Fatal(err)
 	}
-	n.srv, n.addr = srv, addr.String()
-	if role == server.RoleReplica {
-		n.shipper = cluster.NewShipper(srv, cluster.ShipperConfig{
-			Primary:  primaryAddr,
-			Opts:     clientOpts(),
-			Interval: time.Millisecond,
-			Logf:     t.Logf,
-		})
-		n.shipper.Start()
-	}
-	t.Cleanup(n.close)
+	t.Cleanup(func() { n.Close() })
 	return n
 }
 
@@ -166,7 +113,7 @@ func TestRouterShardsPointOpsAndMergesScans(t *testing.T) {
 	n0 := newNode(t, 0, 2, server.RolePrimary, false, "")
 	n1 := newNode(t, 1, 2, server.RolePrimary, false, "")
 	r, err := cluster.NewRouter(cluster.RouterConfig{
-		Shards: []cluster.ShardSpec{{Primary: n0.addr}, {Primary: n1.addr}},
+		Shards: []cluster.ShardSpec{{Primary: n0.Addr()}, {Primary: n1.Addr()}},
 		Opts:   clientOpts(),
 	})
 	if err != nil {
@@ -215,9 +162,9 @@ func TestRouterShardsPointOpsAndMergesScans(t *testing.T) {
 
 func TestReplicaRefusesWritesUntilPromoted(t *testing.T) {
 	p := newNode(t, 0, 1, server.RolePrimary, false, "")
-	rep := newNode(t, 0, 1, server.RoleReplica, false, p.addr)
+	rep := newNode(t, 0, 1, server.RoleReplica, false, p.Addr())
 
-	c, err := server.DialOpts(rep.addr, clientOpts())
+	c, err := server.DialOpts(rep.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +193,9 @@ func TestReplicaRefusesWritesUntilPromoted(t *testing.T) {
 
 func TestWALShippingReplicatesOverTheWire(t *testing.T) {
 	p := newNode(t, 0, 1, server.RolePrimary, false, "")
-	rep := newNode(t, 0, 1, server.RoleReplica, false, p.addr)
+	rep := newNode(t, 0, 1, server.RoleReplica, false, p.Addr())
 
-	c, err := server.DialOpts(p.addr, clientOpts())
+	c, err := server.DialOpts(p.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +212,18 @@ func TestWALShippingReplicatesOverTheWire(t *testing.T) {
 		}
 	}
 	// Wait for the shipper to drain the stream.
-	target := p.srv.Snapshot().ShipCommitted
+	target := p.Server().Snapshot().ShipCommitted
 	deadline := time.Now().Add(10 * time.Second)
-	for int64(rep.shipper.Cursor()) < target {
+	for int64(rep.Shipper().Cursor()) < target {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica stuck at cursor %d of %d (shipper err: %v)",
-				rep.shipper.Cursor(), target, rep.shipper.Err())
+				rep.Shipper().Cursor(), target, rep.Shipper().Err())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Reads on the replica (reads are allowed; only writes are fenced) see
 	// the primary's state.
-	rc, err := server.DialOpts(rep.addr, clientOpts())
+	rc, err := server.DialOpts(rep.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +244,7 @@ func TestWALShippingReplicatesOverTheWire(t *testing.T) {
 		}
 	}
 	// The primary's stats surface the stream positions.
-	snap := p.srv.Snapshot()
+	snap := p.Server().Snapshot()
 	if !snap.ShipEnabled || snap.ShipPulls == 0 || snap.ShipRecords == 0 {
 		t.Fatalf("primary ship stats: %+v", snap)
 	}
@@ -314,13 +261,13 @@ func TestWALShippingReplicatesOverTheWire(t *testing.T) {
 // covers it.
 func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 	p := newNode(t, 0, 2, server.RolePrimary, true, "")
-	rep := newNode(t, 0, 2, server.RoleReplica, false, p.addr)
+	rep := newNode(t, 0, 2, server.RoleReplica, false, p.Addr())
 	n1 := newNode(t, 1, 2, server.RolePrimary, false, "")
 
 	r, err := cluster.NewRouter(cluster.RouterConfig{
 		Shards: []cluster.ShardSpec{
-			{Primary: p.addr, Replicas: []string{rep.addr}},
-			{Primary: n1.addr},
+			{Primary: p.Addr(), Replicas: []string{rep.Addr()}},
+			{Primary: n1.Addr()},
 		},
 		Opts: clientOpts(),
 	})
@@ -346,7 +293,7 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		p.close()
+		p.Close()
 		close(killed)
 	}()
 
@@ -368,7 +315,7 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 		t.Fatal("primary was killed but the router never failed over")
 	}
 	// The replica must now be the shard-0 primary.
-	rc, err := server.DialOpts(rep.addr, clientOpts())
+	rc, err := server.DialOpts(rep.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,40 +352,14 @@ func TestFailoverKeepsEveryAcknowledgedWrite(t *testing.T) {
 // ring gets a terminal gap error, not silent divergence.
 func TestShipperGapForcesRebootstrap(t *testing.T) {
 	// A tiny ship ring on the primary.
-	eng := engine.FromStore(engine.Config{CacheBytes: 1 << 20},
-		storage.NewFaultStore(flatDev{256 << 20}), sim.New())
-	if err := eng.EnableDurability(engine.DurabilityConfig{
-		LogBytes: 8 << 20, GroupBytes: 1 << 20, JournalBytes: 4 << 20,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableShipping(8); err != nil {
-		t.Fatal(err)
-	}
-	bt, err := btree.New(btree.Config{NodeBytes: 4 << 10, MaxKeyBytes: 64, MaxValueBytes: 256}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := eng.Durable("bt", bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", ShardID: 0, Shards: 1, Role: server.RolePrimary},
-		server.Backend{Eng: eng, Clock: clock,
-			NewSession: func(c *engine.Client) engine.Dictionary { return bt.Session(c) },
-			Writer:     d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	p := serveNode(t, cluster.NodeConfig{
+		Store:      storage.NewFaultStore(flatDev{256 << 20}),
+		CacheBytes: 1 << 20,
+		Durability: &testDurability,
+		ShipCap:    8,
+	}, server.Config{Addr: "127.0.0.1:0", ShardID: 0, Shards: 1, Role: server.RolePrimary})
 
-	c, err := server.DialOpts(addr.String(), clientOpts())
+	c, err := server.DialOpts(p.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,9 +406,9 @@ func TestMergedTraceSpansCluster(t *testing.T) {
 	pTracer := tracerFor(0xA11CE)
 	rTracer := tracerFor(0xB0B)
 	p := newTracedNode(t, 0, 1, server.RolePrimary, false, "", pTracer)
-	rep := newTracedNode(t, 0, 1, server.RoleReplica, false, p.addr, rTracer)
+	rep := newTracedNode(t, 0, 1, server.RoleReplica, false, p.Addr(), rTracer)
 
-	c, err := server.DialOpts(p.addr, clientOpts())
+	c, err := server.DialOpts(p.Addr(), clientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,12 +424,12 @@ func TestMergedTraceSpansCluster(t *testing.T) {
 	clientEnd := wallNow()
 
 	// Wait for the shipper to apply the traced write on the replica.
-	target := p.srv.Snapshot().ShipCommitted
+	target := p.Server().Snapshot().ShipCommitted
 	deadline := time.Now().Add(10 * time.Second)
-	for int64(rep.shipper.Cursor()) < target {
+	for int64(rep.Shipper().Cursor()) < target {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica stuck at cursor %d of %d (shipper err: %v)",
-				rep.shipper.Cursor(), target, rep.shipper.Err())
+				rep.Shipper().Cursor(), target, rep.Shipper().Err())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -112,7 +112,7 @@ func (sh *Shipper) Err() error {
 // Promote is the server OnPromote body for this replica: stop the shipper
 // (after it returns, no shipped apply can race the writer loop), seal the
 // local log tail with a WAL sync, and report the LSN the node serves from.
-// Wire it into the server Config as a closure over the late-built Shipper.
+// Node wires it as its server's OnPromote.
 func (sh *Shipper) Promote(eng *engine.Engine) (uint64, error) {
 	sh.Stop()
 	if err := eng.Sync(); err != nil {

@@ -28,9 +28,8 @@ import (
 	"math"
 	"time"
 
-	"iomodels/internal/btree"
+	"iomodels/internal/cluster"
 	"iomodels/internal/core"
-	"iomodels/internal/engine"
 	"iomodels/internal/mqssd"
 	"iomodels/internal/obs"
 	"iomodels/internal/server"
@@ -176,43 +175,19 @@ func mqThreadRound(dcfg mqssd.Config, p, ios int, seed uint64) float64 {
 	return last.Seconds()
 }
 
-// startMQServing boots a B-tree server on a fresh multi-queue device.
+// startMQServing boots a B-tree node on a fresh multi-queue device.
 // lanes/batch 0 selects the queue-aware defaults (mqssd.QueueHint); lanes 1
 // with an explicit batch forces the classic global scheduler.
-func startMQServing(cfg MQServingConfig, dcfg mqssd.Config, lanes, batch int, durable bool, tracer *obs.Tracer) (*servingBackend, error) {
-	dev := mqssd.New(dcfg).Storage(1 << 31)
-	eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, dev, sim.New())
-	if durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{
-			LogBytes:     16 << 20,
-			GroupBytes:   1 << 20,
-			JournalBytes: 8 << 20,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	tree, err := btree.New(btree.Config{
-		NodeBytes:     cfg.NodeBlocks * int(dcfg.BlockBytes),
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}, eng)
+func startMQServing(cfg MQServingConfig, dcfg mqssd.Config, lanes, batch int, tracer *obs.Tracer) (*cluster.Node, error) {
+	n, err := cluster.NewNode(cluster.NodeConfig{
+		Store:      storage.NewStore(mqssd.New(dcfg).Storage(1 << 31)),
+		CacheBytes: cfg.CacheBytes,
+		NodeBytes:  cfg.NodeBlocks * int(dcfg.BlockBytes),
+		Spec:       cfg.Spec,
+		Items:      cfg.Items,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var writer engine.Dictionary = tree
-	if durable {
-		d, err := eng.Durable("bt", tree)
-		if err != nil {
-			return nil, err
-		}
-		writer = d
-	}
-	workload.Load(writer, cfg.Spec, cfg.Items)
-	tree.Flush()
-	if durable {
-		if err := eng.Sync(); err != nil {
-			return nil, err
-		}
 	}
 	maxK := cfg.Writers + len(cfg.Clients)
 	for _, k := range cfg.Clients {
@@ -220,31 +195,17 @@ func startMQServing(cfg MQServingConfig, dcfg mqssd.Config, lanes, batch int, du
 			maxK = k
 		}
 	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	srv, err := server.New(server.Config{
+	if err := n.Serve(server.Config{
 		Addr:       "127.0.0.1:0",
 		ReadLanes:  lanes,
 		BatchIOs:   batch,
 		BatchGrace: cfg.BatchGrace,
 		ReadQueue:  4 * maxK,
 		Tracer:     tracer,
-	}, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return tree.Session(c)
-		},
-		Writer: writer,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		return nil, err
-	}
-	return &servingBackend{srv: srv, addr: addr.String(), clock: clock, eng: eng}, nil
+	return n, nil
 }
 
 // MQServing runs the scheduler comparison: closed-loop TCP gets per device
@@ -260,19 +221,19 @@ func MQServing(cfg MQServingConfig) ([]ServingRow, error) {
 		{"pdam", 1, raw},   // one global batch of the raw slot count
 		{"mq-lanes", 0, 0}, // per-queue lanes sized by QueueHint
 	} {
-		sb, err := startMQServing(cfg, cfg.Device, mode.lanes, mode.batch, false, nil)
+		sb, err := startMQServing(cfg, cfg.Device, mode.lanes, mode.batch, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range cfg.Clients {
 			row, err := servingReadRound(sb, cfg.legacy(), mode.name, k)
 			if err != nil {
-				sb.srv.Close()
+				sb.Close()
 				return nil, err
 			}
 			rows = append(rows, row)
 		}
-		sb.srv.Close()
+		sb.Close()
 	}
 	return rows, nil
 }
@@ -287,11 +248,11 @@ func MQResiduals(cfg MQServingConfig) (obs.Summary, error) {
 	// serving device calibrates the four models up front.
 	models := obs.ExactMQ(mqssd.New(cfg.Device).Storage(1 << 31))
 	tracer := obs.NewTracer(obs.Config{SampleEvery: 1, Models: &models})
-	sb, err := startMQServing(cfg, cfg.Device, 1, raw, false, tracer)
+	sb, err := startMQServing(cfg, cfg.Device, 1, raw, tracer)
 	if err != nil {
 		return obs.Summary{}, err
 	}
-	defer sb.srv.Close()
+	defer sb.Close()
 	// Twice the batch size in closed-loop clients, so a full batch is always
 	// queued behind the running one and every launch is raw-P wide.
 	k := 2 * raw

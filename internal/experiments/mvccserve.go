@@ -136,14 +136,14 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	if err != nil {
 		return MVCCServeRow{}, err
 	}
-	defer sb.srv.Close()
+	defer sb.Close()
 
 	// Dial the readers and, in snap modes, pin every snapshot BEFORE the
 	// hot set is rewritten: the pinned view must predate the overwrite.
 	readers := make([]*server.Client, cfg.Readers)
 	snaps := make([]uint64, cfg.Readers)
 	for i := range readers {
-		cl, err := server.Dial(sb.addr)
+		cl, err := server.Dial(sb.Addr())
 		if err != nil {
 			return MVCCServeRow{}, err
 		}
@@ -162,7 +162,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	// a version chain per hot key, so every pinned read below is a chain
 	// hit; without (plain round) it just warms the same pages the readers
 	// will touch, keeping cache state comparable across rounds.
-	setup, err := server.Dial(sb.addr)
+	setup, err := server.Dial(sb.Addr())
 	if err != nil {
 		return MVCCServeRow{}, err
 	}
@@ -186,7 +186,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 			rng := stats.NewRNG(cfg.Seed ^ 0xE22).Split(uint64(w))
 			go func(w int) {
 				defer writerWG.Done()
-				cl, err := server.Dial(sb.addr)
+				cl, err := server.Dial(sb.Addr())
 				if err != nil {
 					writerErrs[w] = err
 					return
@@ -209,7 +209,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 		}
 	}
 
-	before := sb.eng.MVCCStats()
+	before := sb.Engine().MVCCStats()
 	hist := stats.NewLatencyHist()
 	var reads atomic.Int64
 	root := stats.NewRNG(cfg.Seed)
@@ -263,7 +263,7 @@ func mvccServeRound(cfg MVCCServeConfig, mode string) (MVCCServeRow, error) {
 	}
 	readWG.Wait()
 	close(readErrs)
-	after := sb.eng.MVCCStats()
+	after := sb.Engine().MVCCStats()
 
 	if loaded {
 		close(done)

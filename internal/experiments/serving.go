@@ -18,12 +18,13 @@ import (
 	"sync"
 	"time"
 
-	"iomodels/internal/btree"
+	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
 	"iomodels/internal/pdamdev"
 	"iomodels/internal/server"
 	"iomodels/internal/sim"
 	"iomodels/internal/stats"
+	"iomodels/internal/storage"
 	"iomodels/internal/workload"
 )
 
@@ -88,51 +89,28 @@ type ServingCommitRow struct {
 	PerFlush float64 // records / commits; 1.0 means no commit sharing
 }
 
-// servingBackend is one live kvserve instance for the experiment.
-type servingBackend struct {
-	srv   *server.Server
-	addr  string
-	clock *engine.SharedClock
-	eng   *engine.Engine
-}
-
-// startServing boots a B-tree server on a fresh PDAM device with the given
+// startServing boots a B-tree node on a fresh PDAM device with the given
 // read-batch size. The read queue is sized for the largest client count so
 // admission control never sheds experiment load.
-func startServing(cfg ServingConfig, batch int, durable bool) (*servingBackend, error) {
-	dev := pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime)
-	eng := engine.New(engine.Config{CacheBytes: cfg.CacheBytes}, dev.Storage(1<<31), sim.New())
+func startServing(cfg ServingConfig, batch int, durable bool) (*cluster.Node, error) {
+	var durability *engine.DurabilityConfig
 	if durable {
-		if err := eng.EnableDurability(engine.DurabilityConfig{
+		durability = &engine.DurabilityConfig{
 			LogBytes:     16 << 20,
 			GroupBytes:   1 << 20, // flush sharing must come from group commit, not size
 			JournalBytes: 8 << 20,
-		}); err != nil {
-			return nil, err
 		}
 	}
-	tree, err := btree.New(btree.Config{
-		NodeBytes:     cfg.NodeBlocks * int(cfg.BlockBytes),
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}, eng)
+	n, err := cluster.NewNode(cluster.NodeConfig{
+		Store:      storage.NewStore(pdamdev.New(cfg.P, cfg.BlockBytes, cfg.StepTime).Storage(1 << 31)),
+		CacheBytes: cfg.CacheBytes,
+		Durability: durability,
+		NodeBytes:  cfg.NodeBlocks * int(cfg.BlockBytes),
+		Spec:       cfg.Spec,
+		Items:      cfg.Items,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var writer engine.Dictionary = tree
-	if durable {
-		d, err := eng.Durable("bt", tree)
-		if err != nil {
-			return nil, err
-		}
-		writer = d
-	}
-	workload.Load(writer, cfg.Spec, cfg.Items)
-	tree.Flush()
-	if durable {
-		if err := eng.Sync(); err != nil {
-			return nil, err
-		}
 	}
 	maxK := cfg.Writers
 	for _, k := range cfg.Clients {
@@ -140,29 +118,15 @@ func startServing(cfg ServingConfig, batch int, durable bool) (*servingBackend, 
 			maxK = k
 		}
 	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-	srv, err := server.New(server.Config{
+	if err := n.Serve(server.Config{
 		Addr:       "127.0.0.1:0",
 		BatchIOs:   batch,
 		BatchGrace: cfg.BatchGrace,
 		ReadQueue:  4 * maxK,
-	}, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return tree.Session(c)
-		},
-		Writer: writer,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		return nil, err
-	}
-	return &servingBackend{srv: srv, addr: addr.String(), clock: clock, eng: eng}, nil
+	return n, nil
 }
 
 // Serving runs E20 and returns read-phase rows (dam mode first, then pdam)
@@ -180,12 +144,12 @@ func Serving(cfg ServingConfig) ([]ServingRow, []ServingCommitRow, error) {
 		for _, k := range cfg.Clients {
 			row, err := servingReadRound(sb, cfg, mode.name, k)
 			if err != nil {
-				sb.srv.Close()
+				sb.Close()
 				return nil, nil, err
 			}
 			rows = append(rows, row)
 		}
-		sb.srv.Close()
+		sb.Close()
 	}
 
 	var commits []ServingCommitRow
@@ -202,11 +166,12 @@ func Serving(cfg ServingConfig) ([]ServingRow, []ServingCommitRow, error) {
 
 // servingReadRound cold-starts the cache and measures k closed-loop TCP
 // clients doing random gets, in device steps and wall-clock latency.
-func servingReadRound(sb *servingBackend, cfg ServingConfig, mode string, k int) (ServingRow, error) {
-	sb.eng.Pager().EvictAll(sb.eng.Owner())
-	sb.eng.Pager().ResetStats()
+func servingReadRound(sb *cluster.Node, cfg ServingConfig, mode string, k int) (ServingRow, error) {
+	eng := sb.Engine()
+	eng.Pager().EvictAll(eng.Owner())
+	eng.Pager().ResetStats()
 	root := stats.NewRNG(cfg.Seed + uint64(k))
-	start := sb.clock.Now()
+	start := sb.Clock().Now()
 	hist := stats.NewLatencyHist()
 	errs := make(chan error, k)
 	var wg sync.WaitGroup
@@ -215,7 +180,7 @@ func servingReadRound(sb *servingBackend, cfg ServingConfig, mode string, k int)
 		rng := root.Split(uint64(c))
 		go func() {
 			defer wg.Done()
-			cl, err := server.Dial(sb.addr)
+			cl, err := server.Dial(sb.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -247,14 +212,14 @@ func servingReadRound(sb *servingBackend, cfg ServingConfig, mode string, k int)
 			return ServingRow{}, err
 		}
 	}
-	steps := float64(sb.clock.Now()-start) / float64(cfg.StepTime)
+	steps := float64(sb.Clock().Now()-start) / float64(cfg.StepTime)
 	snap := hist.Snapshot()
 	return ServingRow{
 		Mode:       mode,
 		Clients:    k,
 		Steps:      steps,
 		Throughput: float64(k*cfg.OpsPerClient) / steps,
-		HitRatio:   sb.eng.Pager().Stats().HitRatio(),
+		HitRatio:   eng.Pager().Stats().HitRatio(),
 		P50Us:      float64(snap.P50) / 1e3,
 		P99Us:      float64(snap.P99) / 1e3,
 	}, nil
@@ -267,8 +232,8 @@ func servingWriteRound(cfg ServingConfig, writers, total int) (ServingCommitRow,
 	if err != nil {
 		return ServingCommitRow{}, err
 	}
-	defer sb.srv.Close()
-	before := sb.eng.DurabilityStats()
+	defer sb.Close()
+	before := sb.Engine().DurabilityStats()
 	per := total / writers
 	errs := make(chan error, writers)
 	var wg sync.WaitGroup
@@ -276,7 +241,7 @@ func servingWriteRound(cfg ServingConfig, writers, total int) (ServingCommitRow,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, err := server.Dial(sb.addr)
+			cl, err := server.Dial(sb.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -299,7 +264,7 @@ func servingWriteRound(cfg ServingConfig, writers, total int) (ServingCommitRow,
 			return ServingCommitRow{}, err
 		}
 	}
-	after := sb.eng.DurabilityStats()
+	after := sb.Engine().DurabilityStats()
 	row := ServingCommitRow{
 		Writers: writers,
 		Records: after.LogRecords - before.LogRecords,

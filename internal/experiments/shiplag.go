@@ -23,12 +23,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"iomodels/internal/btree"
 	"iomodels/internal/cluster"
 	"iomodels/internal/engine"
 	"iomodels/internal/server"
@@ -98,87 +96,35 @@ func (d shipFlatDev) Access(now sim.Time, _ storage.Op, _, _ int64) sim.Time {
 func (d shipFlatDev) Capacity() int64 { return d.capacity }
 func (d shipFlatDev) Name() string    { return "flat" }
 
-// shipNode is one cluster node: engine, tree server, and (replica) shipper.
-type shipNode struct {
-	eng     *engine.Engine
-	srv     *server.Server
-	addr    string
-	shipper *cluster.Shipper
-}
-
-func (n *shipNode) close() {
-	if n.shipper != nil {
-		n.shipper.Stop()
-	}
-	n.srv.Close()
-}
-
-// startShipNode boots a durable, shipping-enabled B-tree server in the given
-// role. A replica gets its shipper started against primaryAddr.
-func startShipNode(cfg ShipLagConfig, role server.Role, syncShip bool, primaryAddr string) (*shipNode, error) {
-	eng := engine.FromStore(engine.Config{CacheBytes: cfg.CacheBytes},
-		storage.NewFaultStore(shipFlatDev{capacity: 256 << 20, ioTime: cfg.IOTime}), sim.New())
-	if err := eng.EnableDurability(engine.DurabilityConfig{
-		LogBytes:     8 << 20,
-		GroupBytes:   1 << 20,
-		JournalBytes: 4 << 20,
-	}); err != nil {
-		return nil, err
-	}
-	if err := eng.EnableShipping(0); err != nil {
-		return nil, err
-	}
-	bt, err := btree.New(btree.Config{
-		NodeBytes:     4 << 10,
-		MaxKeyBytes:   cfg.Spec.KeyBytes,
-		MaxValueBytes: cfg.Spec.ValueBytes,
-	}, eng)
+// startShipNode boots a durable B-tree node in the given role. A replica
+// gets its shipper started against primaryAddr.
+func startShipNode(cfg ShipLagConfig, role server.Role, syncShip bool, primaryAddr string) (*cluster.Node, error) {
+	n, err := cluster.NewNode(cluster.NodeConfig{
+		Store:      storage.NewFaultStore(shipFlatDev{capacity: 256 << 20, ioTime: cfg.IOTime}),
+		CacheBytes: cfg.CacheBytes,
+		Durability: &engine.DurabilityConfig{
+			LogBytes:     8 << 20,
+			GroupBytes:   1 << 20,
+			JournalBytes: 4 << 20,
+		},
+		Spec: cfg.Spec,
+		Shipper: cluster.ShipperConfig{
+			Primary:  primaryAddr,
+			Opts:     server.Options{RequestTimeout: time.Second, ConnectTimeout: time.Second},
+			Interval: cfg.PullInterval,
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	d, err := eng.Durable("bt", bt)
-	if err != nil {
-		return nil, err
-	}
-	clock := engine.NewSharedClock()
-	eng.AdoptSharedClock(clock)
-
-	n := &shipNode{eng: eng}
-	srv, err := server.New(server.Config{
+	if err := n.Serve(server.Config{
 		Addr:            "127.0.0.1:0",
 		Shards:          1,
 		Role:            role,
 		SyncShip:        syncShip,
 		SyncShipTimeout: 5 * time.Second,
-		OnPromote: func() (uint64, error) {
-			if n.shipper == nil {
-				return 0, errors.New("no shipper")
-			}
-			return n.shipper.Promote(n.eng)
-		},
-	}, server.Backend{
-		Eng:   eng,
-		Clock: clock,
-		NewSession: func(c *engine.Client) engine.Dictionary {
-			return bt.Session(c)
-		},
-		Writer: d,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		return nil, err
-	}
-	n.srv, n.addr = srv, addr.String()
-	if role == server.RoleReplica {
-		n.shipper = cluster.NewShipper(srv, cluster.ShipperConfig{
-			Primary:  primaryAddr,
-			Opts:     server.Options{RequestTimeout: time.Second, ConnectTimeout: time.Second},
-			Interval: cfg.PullInterval,
-		})
-		n.shipper.Start()
 	}
 	return n, nil
 }
@@ -206,12 +152,12 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 	if err != nil {
 		return ShipLagRow{}, err
 	}
-	defer primary.close()
-	replica, err := startShipNode(cfg, server.RoleReplica, false, primary.addr)
+	defer primary.Close()
+	replica, err := startShipNode(cfg, server.RoleReplica, false, primary.Addr())
 	if err != nil {
 		return ShipLagRow{}, err
 	}
-	defer replica.close()
+	defer replica.Close()
 
 	hist := stats.NewLatencyHist()
 	root := stats.NewRNG(cfg.Seed)
@@ -222,7 +168,7 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 		rng := root.Split(uint64(w))
 		go func(w int) {
 			defer wg.Done()
-			cl, err := server.Dial(primary.addr)
+			cl, err := server.Dial(primary.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -255,21 +201,21 @@ func shipLagRound(cfg ShipLagConfig, mode string, syncShip bool) (ShipLagRow, er
 	// Drain: the async round can finish the load with records still in
 	// flight; the row's Acked/Final comparison is only meaningful once the
 	// replica has caught up (or demonstrably cannot).
-	committed := primary.eng.ShipStats().CommittedLSN
+	committed := primary.Engine().ShipStats().CommittedLSN
 	deadline := time.Now().Add(cfg.CatchUp)
-	for replica.srv.ShipAppliedLSN() < committed {
-		if err := replica.shipper.Err(); err != nil {
+	for replica.Server().ShipAppliedLSN() < committed {
+		if err := replica.Shipper().Err(); err != nil {
 			return ShipLagRow{}, err
 		}
 		if time.Now().After(deadline) {
 			return ShipLagRow{}, fmt.Errorf("replica stuck at LSN %d of %d",
-				replica.srv.ShipAppliedLSN(), committed)
+				replica.Server().ShipAppliedLSN(), committed)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	psnap := primary.srv.Snapshot()
-	rsnap := replica.srv.Snapshot()
+	psnap := primary.Server().Snapshot()
+	rsnap := replica.Server().Snapshot()
 	snap := hist.Snapshot()
 	return ShipLagRow{
 		Mode:       mode,

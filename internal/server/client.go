@@ -115,21 +115,13 @@ func DialOpts(addr string, o Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := NewClient(conn)
-	c.timeout = o.RequestTimeout
-	c.maxFrame = o.MaxFrame
-	return c, nil
-}
-
-// NewClient wraps an established connection (no request deadlines; use
-// DialOpts for the timeout-guarded client).
-func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn:     conn,
 		r:        bufio.NewReaderSize(conn, 64<<10),
 		w:        bufio.NewWriterSize(conn, 64<<10),
-		maxFrame: DefaultMaxFrame,
-	}
+		maxFrame: o.MaxFrame,
+		timeout:  o.RequestTimeout,
+	}, nil
 }
 
 // Close closes the connection.

@@ -127,10 +127,6 @@ type StatsSnapshot struct {
 	DurabilityErr  string `json:"durability_error,omitempty"`
 	DurableEnabled bool   `json:"durable"`
 
-	TraceLen     int   `json:"trace_len"`
-	TraceCap     int   `json:"trace_cap"`
-	TraceDropped int64 `json:"trace_dropped"`
-
 	// Pager and write-path detail (PR-5 additions; existing fields above are
 	// protocol surface and keep their meaning).
 	PagerEvictions  int64   `json:"pager_evictions"`
@@ -289,9 +285,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		P95Us:  float64(gw.P95) / 1e3,
 		P99Us:  float64(gw.P99) / 1e3,
 		MaxUs:  float64(gw.Max) / 1e3,
-	}
-	if t := s.cfg.Trace; t != nil {
-		out.TraceLen, out.TraceCap, out.TraceDropped = t.Len(), t.Cap(), t.Dropped()
 	}
 	if tr := s.cfg.Tracer; tr != nil {
 		sum := tr.Summary()

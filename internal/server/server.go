@@ -14,6 +14,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,11 +30,6 @@ import (
 	"iomodels/internal/obs"
 	"iomodels/internal/storage"
 )
-
-// DefaultTraceCap bounds a serving device's IO trace: long-running sessions
-// must not grow memory without bound, so an unbounded trace handed to the
-// server is capped to this many records (most recent kept).
-const DefaultTraceCap = 65536
 
 // Config tunes the server. Zero values select defaults.
 type Config struct {
@@ -68,9 +64,6 @@ type Config struct {
 	MaxFrameBytes int
 	// MaxScanLimit bounds one scan's entry count (default 10000).
 	MaxScanLimit int
-	// Trace, if set, is attached to the engine's store. Unbounded traces
-	// are capped to DefaultTraceCap first.
-	Trace *storage.Trace
 	// Tracer, if set, is attached to the engine: reads and commits open
 	// spans, the pager/WAL/checkpoint layers annotate them, and /stats and
 	// /metrics expose the per-layer breakdown and live model residuals.
@@ -217,19 +210,13 @@ type Server struct {
 }
 
 // New creates a server over backend. It validates the backend, applies
-// config defaults (asking the device for its parallelism), caps the trace,
-// and starts the writer goroutine; call ListenAndServe (or Serve) next.
+// config defaults (asking the device for its parallelism), and starts the
+// writer goroutine; call ListenAndServe (or Serve) next.
 func New(cfg Config, backend Backend) (*Server, error) {
 	if backend.Eng == nil || backend.Clock == nil || backend.NewSession == nil || backend.Writer == nil {
 		return nil, errors.New("server: incomplete backend")
 	}
 	cfg = cfg.withDefaults(backend.Eng.Device())
-	if cfg.Trace != nil {
-		if cfg.Trace.Cap() <= 0 {
-			cfg.Trace.SetCap(DefaultTraceCap)
-		}
-		backend.Eng.SetTrace(cfg.Trace)
-	}
 	if cfg.Tracer != nil {
 		backend.Eng.SetTracer(cfg.Tracer)
 	}
@@ -392,9 +379,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	cs := &connState{client: client, session: session, snaps: make(map[uint64]*engine.Snap)}
 	defer cs.releaseAll()
 
-	c := NewClient(conn) // reuse the framing helpers on the server side
+	r := bufio.NewReaderSize(conn, 64<<10)
+	w := bufio.NewWriterSize(conn, 64<<10)
 	for {
-		buf, err := readFrame(c.r, s.cfg.MaxFrameBytes)
+		buf, err := readFrame(r, s.cfg.MaxFrameBytes)
 		if err != nil {
 			if errors.Is(err, errFrameTooLarge) {
 				s.metrics.protoErrs.Add(1)
@@ -409,10 +397,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		} else {
 			reply = s.serveRequest(cs, req)
 		}
-		if err := writeFrame(c.w, reply); err != nil {
+		if err := writeFrame(w, reply); err != nil {
 			return
 		}
-		if err := c.w.Flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			return
 		}
 	}

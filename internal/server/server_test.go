@@ -416,27 +416,6 @@ func TestServerSchedulerBeatsDAM(t *testing.T) {
 	}
 }
 
-// TestServerTraceCapDefault: an unbounded trace handed to the server is
-// capped, so long-running serving cannot grow memory without bound.
-func TestServerTraceCapDefault(t *testing.T) {
-	tr := storage.NewTrace()
-	tb := newTestServer(t, Config{Trace: tr}, flatDev{64 << 20}, false, 1<<20, 10)
-	if got := tr.Cap(); got != DefaultTraceCap {
-		t.Fatalf("trace cap = %d, want %d", got, DefaultTraceCap)
-	}
-	c := dialT(t, tb)
-	if _, _, err := c.Get(tkey(1)); err != nil {
-		t.Fatal(err)
-	}
-	// A pre-bounded trace keeps its bound.
-	tr2 := storage.NewBoundedTrace(128)
-	tb2 := newTestServer(t, Config{Trace: tr2}, flatDev{64 << 20}, false, 1<<20, 10)
-	_ = tb2
-	if got := tr2.Cap(); got != 128 {
-		t.Fatalf("bounded trace cap rewritten to %d", got)
-	}
-}
-
 // TestServerProtocolErrorKeepsConnection: a malformed request gets a typed
 // error reply and the connection stays usable.
 func TestServerProtocolErrorKeepsConnection(t *testing.T) {
