@@ -228,11 +228,12 @@ grep -q "^  mq " "$smoke/iotrace-mq.log" || {
 #   go test ./internal/kv  -run '^$' -fuzz=FuzzDec    -fuzztime=30s
 #   go test ./internal/wal -run '^$' -fuzz=FuzzReplay -fuzztime=30s
 
-# The crash-consistency and MVCC snapshot suites under the race detector,
-# named explicitly so a future -short or skip in the full pass cannot
-# silently drop them (the snapshot tests race concurrent pinned readers
-# against the mutation bracket).
-go test -race -run 'Crash|Fault|Replay|Durab|Recover|Torn|LogFull|NoSteal|Stats|Snapshot|MVCC' \
+# The crash-consistency, MVCC snapshot and ship-ring suites under the race
+# detector, named explicitly so a future -short or skip in the full pass
+# cannot silently drop them (the snapshot tests race concurrent pinned
+# readers against the mutation bracket; the ship-ring tests race a
+# ShipSince puller against a writer wrapping the ring).
+go test -race -run 'Crash|Fault|Replay|Durab|Recover|Torn|LogFull|NoSteal|Stats|Snapshot|MVCC|Ship' \
 	./internal/wal ./internal/storage ./internal/engine
 
 # The server package entire under the race detector: real TCP handlers, the

@@ -7,11 +7,15 @@
 // applies the records through its own durable engine in order, and is then a
 // byte-equivalent warm standby: promote = seal its log tail and serve.
 //
-// The ring is bounded (ShipCap records): a replica that falls behind the
-// floor cannot catch up incrementally and gets ErrShipGap — the signal to
-// re-bootstrap from a fresh image. Committed-prefix semantics carry over
-// cluster-wide: only durable records are ever shipped, so a replica's state
-// is always a prefix of the primary's durable history.
+// The ring is a fixed-capacity circular buffer of ShipCap records: its
+// backing slice grows to the cap once, and from then on each append
+// overwrites the oldest slot and advances the head, so an append is O(1),
+// allocates nothing, and memory stays bounded by cap records. A replica
+// that falls behind the floor (the newest evicted seq) cannot catch up
+// incrementally and gets ErrShipGap — the signal to re-bootstrap from a
+// fresh image. Committed-prefix semantics carry over cluster-wide: only
+// durable records are ever shipped, so a replica's state is always a prefix
+// of the primary's durable history.
 package engine
 
 import (
@@ -46,11 +50,13 @@ type ShipRecord struct {
 	CommitWallNs int64
 }
 
-// shipBuffer is the ring of durable records awaiting shipment.
+// shipBuffer is the ring of durable records awaiting shipment. Logical
+// position i (0 = oldest) lives at recs[(head+i)%cap].
 type shipBuffer struct {
 	mu        sync.Mutex
 	cap       int
-	recs      []ShipRecord // durable, seq-ascending
+	recs      []ShipRecord // durable, seq-ascending from head; len <= cap
+	head      int          // physical index of the oldest record
 	floor     uint64       // records with Seq > floor are available
 	committed uint64       // highest durable (shippable) LSN seen
 	shipped   int64        // records handed out by ShipSince
@@ -100,19 +106,26 @@ func (e *Engine) EnableShipping(capRecords int) error {
 	return nil
 }
 
-// append adds one durable record stamped with its commit wall time,
-// trimming the ring past cap. Callers hold s.mu except during
-// EnableShipping's backfill, which runs before the buffer is published.
+// append adds one durable record stamped with its commit wall time. Until
+// the ring is full the backing slice grows (never past cap); after that the
+// record overwrites the oldest slot and the floor moves to the evicted seq.
+// Callers hold s.mu except during EnableShipping's backfill, which runs
+// before the buffer is published.
 func (s *shipBuffer) append(r wal.Record, wallNs int64) {
-	s.recs = append(s.recs, ShipRecord{Record: r, CommitWallNs: wallNs})
+	rec := ShipRecord{Record: r, CommitWallNs: wallNs}
 	if r.Seq > s.committed {
 		s.committed = r.Seq
 	}
-	if len(s.recs) > s.cap {
-		drop := len(s.recs) - s.cap
-		s.floor = s.recs[drop-1].Seq
-		s.recs = append([]ShipRecord(nil), s.recs[drop:]...)
+	if len(s.recs) < s.cap {
+		if len(s.recs) == cap(s.recs) {
+			s.recs = append(make([]ShipRecord, 0, min(max(2*len(s.recs), 64), s.cap)), s.recs...)
+		}
+		s.recs = append(s.recs, rec)
+		return
 	}
+	s.floor = s.recs[s.head].Seq
+	s.recs[s.head] = rec
+	s.head = (s.head + 1) % s.cap
 }
 
 // ShipSince returns up to max durable records with Seq > after, in append
@@ -132,11 +145,12 @@ func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, err
 		return nil, st, ErrShipGap
 	}
 	s.pulls++
-	// Binary search for the first record past `after` (seqs ascend).
+	// Binary search over logical positions for the first record past
+	// `after` (seqs ascend from the head).
 	lo, hi := 0, len(s.recs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.recs[mid].Seq <= after {
+		if s.recs[(s.head+mid)%s.cap].Seq <= after {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -149,8 +163,12 @@ func (e *Engine) ShipSince(after uint64, max int) ([]ShipRecord, ShipStatus, err
 	if n == 0 {
 		return nil, st, nil
 	}
+	// Copy out in at most two segments: up to the physical end of the
+	// backing slice, then from its start.
 	out := make([]ShipRecord, n)
-	copy(out, s.recs[lo:lo+n])
+	start := (s.head + lo) % s.cap
+	k := copy(out, s.recs[start:min(start+n, len(s.recs))])
+	copy(out[k:], s.recs[:n-k])
 	s.shipped += int64(n)
 	return out, st, nil
 }

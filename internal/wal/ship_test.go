@@ -134,3 +134,45 @@ func TestSetOnCommitNilClearsTail(t *testing.T) {
 		t.Fatalf("cleared hook still shipped %d records", len(*got))
 	}
 }
+
+// TestShipTailReusesItsBackingArray pins the tail's allocation profile:
+// handing a group to the commit hook compacts the tail in place (here with
+// a few records left over each time, as a partial CheckpointCovering
+// leaves), so once the tail has grown to a group's size a steady stream of
+// groups allocates nothing for it. A checkpoint keeps the array too.
+func TestShipTailReusesItsBackingArray(t *testing.T) {
+	l, _, _ := newTestLog(t, 1<<20)
+	shipped := 0
+	l.SetOnCommit(func(recs []Record) { shipped += len(recs) })
+	group := make([]Record, 32)
+	for i := range group {
+		group[i] = rec(i)
+	}
+	var seq uint64
+	cycle := func() {
+		for _, r := range group {
+			seq++
+			r.Seq = seq
+			l.ship = append(l.ship, r)
+		}
+		l.shipThrough(seq - 4)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("draining the ship tail allocated %.1f times per group, want 0", allocs)
+	}
+	if len(l.ship) != 4 || shipped != int(seq)-4 {
+		t.Fatalf("tail holds %d records after shipping %d of %d", len(l.ship), shipped, seq)
+	}
+	if l.ship[0].Seq != seq-3 {
+		t.Fatalf("tail starts at seq %d, want %d", l.ship[0].Seq, seq-3)
+	}
+	backing := &l.ship[0]
+	l.CheckpointCovering(seq)
+	if len(l.ship) != 0 || shipped != int(seq) {
+		t.Fatalf("checkpoint left %d tailed records, shipped %d of %d", len(l.ship), shipped, seq)
+	}
+	if &l.ship[:1][0] != backing {
+		t.Fatal("CheckpointCovering discarded the ship tail's backing array")
+	}
+}

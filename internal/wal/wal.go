@@ -305,8 +305,9 @@ func (l *Log) LastSeq() uint64 { return l.nextSeq - 1 }
 // every record exactly once at the moment it becomes durable — sealed into a
 // committed frame, or covered by a checkpoint's journal (CheckpointCovering).
 // Records appended while a hook is attached are deep-copied into the ship
-// tail, so callers may reuse key/value buffers. nil detaches (and drops any
-// untailed records).
+// tail, so callers may reuse key/value buffers. The slice fn receives is the
+// tail itself, reused once fn returns: fn must copy out what it keeps and not
+// retain the slice. nil detaches (and drops any untailed records).
 func (l *Log) SetOnCommit(fn func([]Record)) {
 	l.onCommit = fn
 	if fn == nil {
@@ -410,7 +411,8 @@ func (l *Log) Commit() error {
 }
 
 // shipThrough hands every tailed record with Seq <= lsn to the commit hook
-// and drops it from the ship tail. No-op without a hook.
+// and then drops it from the ship tail, compacting in place so the tail's
+// backing array is reused by the next group. No-op without a hook.
 func (l *Log) shipThrough(lsn uint64) {
 	if l.onCommit == nil || len(l.ship) == 0 {
 		return
@@ -422,9 +424,10 @@ func (l *Log) shipThrough(lsn uint64) {
 	if n == 0 {
 		return
 	}
-	durable := l.ship[:n:n]
-	l.ship = append([]Record(nil), l.ship[n:]...)
-	l.onCommit(durable)
+	l.onCommit(l.ship[:n:n])
+	m := copy(l.ship, l.ship[n:])
+	clear(l.ship[m:])
+	l.ship = l.ship[:m]
 }
 
 // Checkpoint declares all logged state durably applied and truncates the
@@ -446,7 +449,8 @@ func (l *Log) Checkpoint() {
 // the caller re-appends them, and the re-append re-tails them.
 func (l *Log) CheckpointCovering(lastLSN uint64) {
 	l.shipThrough(lastLSN)
-	l.ship = nil
+	clear(l.ship)
+	l.ship = l.ship[:0]
 	l.buf = l.buf[:0]
 	l.bufCount = 0
 	l.epoch++
